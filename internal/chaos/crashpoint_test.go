@@ -205,7 +205,7 @@ func matrixCases() []matrixCase {
 				mustOK(t, s.PropPut(context.Background(), "/src/a.txt", propK, []byte("me")))
 			},
 			run: func(s *store.FSStore) {
-				s.CopyTreeAtomic(context.Background(), "/src", "/dst", store.CopyOptions{Recurse: true})
+				s.CopyTree(context.Background(), "/src", "/dst", store.CopyOptions{Recurse: true})
 			},
 			pre: func(s *store.FSStore) error {
 				return both(wantGone(s, "/dst"),

@@ -27,6 +27,11 @@ const (
 	OpPropDelete = "PropDelete"
 	OpPropNames  = "PropNames"
 	OpPropAll    = "PropAll"
+
+	OpStatWithProps = "StatWithProps"
+	OpListWithProps = "ListWithProps"
+	OpCopyTree      = "CopyTree"
+	OpRename        = "Rename"
 )
 
 // trigger is one armed fault on a store operation.
@@ -199,4 +204,36 @@ func (f *FaultyStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byt
 		return nil, ErrInjected
 	}
 	return f.Store.PropAll(ctx, p)
+}
+
+// StatWithProps implements store.Store.
+func (f *FaultyStore) StatWithProps(ctx context.Context, p string) (store.ResourceInfo, map[xml.Name][]byte, error) {
+	if f.fail(OpStatWithProps) {
+		return store.ResourceInfo{}, nil, ErrInjected
+	}
+	return f.Store.StatWithProps(ctx, p)
+}
+
+// ListWithProps implements store.Store.
+func (f *FaultyStore) ListWithProps(ctx context.Context, p string) ([]store.MemberProps, error) {
+	if f.fail(OpListWithProps) {
+		return nil, ErrInjected
+	}
+	return f.Store.ListWithProps(ctx, p)
+}
+
+// CopyTree implements store.Store.
+func (f *FaultyStore) CopyTree(ctx context.Context, src, dst string, opts store.CopyOptions) error {
+	if f.fail(OpCopyTree) {
+		return ErrInjected
+	}
+	return f.Store.CopyTree(ctx, src, dst, opts)
+}
+
+// Rename implements store.Store.
+func (f *FaultyStore) Rename(ctx context.Context, src, dst string) error {
+	if f.fail(OpRename) {
+		return ErrInjected
+	}
+	return f.Store.Rename(ctx, src, dst)
 }

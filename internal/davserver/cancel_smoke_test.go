@@ -121,7 +121,7 @@ func TestDeadlineExceededMaps503RetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	h := NewHandler(store.OpTimeout(s, 10*time.Millisecond), nil)
+	h := NewHandler(store.Instrument(s, nil, 10*time.Millisecond), nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -3,6 +3,7 @@ package davserver
 import (
 	"context"
 	"encoding/xml"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
@@ -148,4 +149,29 @@ func TestFaultInjectionHelperSanity(t *testing.T) {
 	if got := len(davproto.PropsByName(ms.Responses[0].Propstats)); got != 2 {
 		t.Fatalf("props = %d, want 2", got)
 	}
+}
+
+func TestPropfindDepth1ListFailureIs500(t *testing.T) {
+	srv, fs := newFaultyServer(t)
+	wantStatus(t, do(t, "MKCOL", srv.URL+"/proj", nil, ""), 201)
+	do(t, "PUT", srv.URL+"/proj/a.txt", nil, "x")
+	fs.FailAll(chaos.OpListWithProps)
+	wantStatus(t, do(t, "PROPFIND", srv.URL+"/proj", map[string]string{"Depth": "1"}, ""), 500)
+	// The resource itself still resolves: only the member listing failed.
+	wantStatus(t, do(t, "PROPFIND", srv.URL+"/proj", map[string]string{"Depth": "0"}, ""), 207)
+	fs.Clear(chaos.OpListWithProps)
+	wantStatus(t, do(t, "PROPFIND", srv.URL+"/proj", map[string]string{"Depth": "1"}, ""), 207)
+}
+
+func TestCopyFailureIs500AndLeavesNoDestination(t *testing.T) {
+	srv, fs := newFaultyServer(t)
+	wantStatus(t, do(t, "MKCOL", srv.URL+"/src", nil, ""), 201)
+	do(t, "PUT", srv.URL+"/src/a.txt", nil, "x")
+	fs.FailAll(chaos.OpCopyTree)
+	wantStatus(t, do(t, "COPY", srv.URL+"/src", map[string]string{"Destination": srv.URL + "/dst"}, ""), 500)
+	if _, err := fs.Stat(context.Background(), "/dst"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("failed COPY left a destination: %v", err)
+	}
+	fs.Clear(chaos.OpCopyTree)
+	wantStatus(t, do(t, "COPY", srv.URL+"/src", map[string]string{"Destination": srv.URL + "/dst"}, ""), 201)
 }

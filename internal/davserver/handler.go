@@ -37,8 +37,7 @@ type Options struct {
 	// Prefix is stripped from request URL paths before they are
 	// interpreted as resource paths (e.g. "/dav").
 	Prefix string
-	// Logger receives request errors; nil discards them. Call sites
-	// still holding a *log.Logger can adapt it with obs.Slogify.
+	// Logger receives request errors; nil discards them.
 	Logger *slog.Logger
 	// Brownout, when set, lets the handler shed expensive behaviors
 	// under load: auto-versioning snapshots are skipped and Depth:
@@ -552,7 +551,7 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 	}
 
 	if r.Method == "COPY" {
-		err = store.CopyTree(r.Context(), h.store, src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
+		err = h.store.CopyTree(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
 	} else {
 		err = store.MoveTree(r.Context(), h.store, src, dst)
 	}
@@ -650,7 +649,7 @@ func (h *Handler) decodeDeadProps(p string, raw map[xml.Name][]byte) []davproto.
 }
 
 // handlePropfind resolves the target set through the store's batched
-// read path (see store.BatchReader): each resource arrives with its
+// reads (StatWithProps, ListWithProps): each resource arrives with its
 // dead properties already loaded, so a Depth:1 listing costs one locked
 // pass through cached property databases instead of one independent
 // lookup per member per property request.
@@ -673,7 +672,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ri, props, err := store.StatWithProps(r.Context(), h.store, p)
+	ri, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
@@ -687,7 +686,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 	case davproto.Depth1:
 		targets = []store.MemberProps{self}
 		if ri.IsCollection {
-			members, err := store.ListWithProps(r.Context(), h.store, p)
+			members, err := h.store.ListWithProps(r.Context(), p)
 			if err != nil {
 				h.fail(w, r, err)
 				return

@@ -41,7 +41,7 @@ func (w *syncWriter) String() string {
 func newInstrumentedServer(t *testing.T) (*httptest.Server, *Metrics, *syncWriter) {
 	t.Helper()
 	m := NewMetrics(nil)
-	s := store.Instrument(store.NewMemStore(), m.StoreObserver())
+	s := store.Instrument(store.NewMemStore(), m.StoreObserver(), 0)
 	h := NewHandler(s, nil)
 	m.TrackLocks(h.Locks())
 	logw := &syncWriter{}
@@ -207,23 +207,6 @@ func TestRecovererLogsRequestID(t *testing.T) {
 	m.Registry.WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `dav_requests_total{class="5xx",method="GET"} 1`) {
 		t.Errorf("recovered panic not counted as 5xx:\n%s", sb.String())
-	}
-}
-
-func TestTrackLimiter(t *testing.T) {
-	m := NewMetrics(nil)
-	// Dropped()/Limit() never touch the wrapped listener.
-	rl := LimitConnections(nil, 42)
-	m.TrackLimiter(rl)
-	var sb strings.Builder
-	m.Registry.WritePrometheus(&sb)
-	for _, want := range []string{
-		"dav_limiter_dropped_total 0",
-		"dav_limiter_limit_per_minute 42",
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, sb.String())
-		}
 	}
 }
 

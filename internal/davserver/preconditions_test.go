@@ -225,7 +225,7 @@ func TestTrackStoreExposesConcurrencyGauges(t *testing.T) {
 	defer fs.Close()
 	m := NewMetrics(nil)
 	m.TrackStore(fs)
-	h := NewHandler(store.Instrument(fs, m.StoreObserver()), nil)
+	h := NewHandler(store.Instrument(fs, m.StoreObserver(), 0), nil)
 	srv := newServerOver(t, h)
 
 	wantStatus(t, do(t, "PUT", srv.URL+"/doc.txt", nil, "x"), 201)

@@ -1,28 +1,53 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"encoding/xml"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
 )
 
+// propAllCounter counts the PropAll calls that reach the wrapped store.
+type propAllCounter struct {
+	store.Store
+	calls atomic.Int64
+}
+
+func (c *propAllCounter) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
+	c.calls.Add(1)
+	return c.Store.PropAll(ctx, p)
+}
+
 // TestSerializedStoreParity checks the benchmark baseline behaves like
-// a plain store: same data, same properties, rename supported, batched
-// reads hidden.
+// a plain store (same data, same properties) while keeping the PR 3
+// read shape: a collection listing costs one PropAll per member.
 func TestSerializedStoreParity(t *testing.T) {
+	counted := &propAllCounter{Store: store.NewMemStore()}
+	ss := serialize(counted)
+	ctx := context.Background()
+	for _, p := range []string{"/m1", "/m2", "/m3"} {
+		if _, err := ss.Put(ctx, p, strings.NewReader("x"), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted.calls.Store(0)
+	members, err := ss.ListWithProps(ctx, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.calls.Load(); len(members) != 3 || got != 3 {
+		t.Fatalf("ListWithProps over %d members issued %d PropAll calls, want 3 and 3", len(members), got)
+	}
+
 	env, err := StartDAVEnv(DAVEnvOptions{Serialized: true, HandleCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-
-	if _, ok := env.Store.(store.BatchReader); ok {
-		t.Fatal("serialized baseline must not expose the batched-read fast path")
-	}
-	if _, ok := env.Store.(store.Renamer); !ok {
-		t.Fatal("serialized baseline lost Rename")
-	}
 
 	if created, err := env.Client.PutBytes("/a.txt", []byte("hello"), "text/plain"); err != nil || !created {
 		t.Fatalf("put: created=%v err=%v", created, err)

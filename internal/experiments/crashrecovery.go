@@ -179,7 +179,7 @@ func crashOps() []crashOp {
 				return first(s.Mkcol(bg, "/src"), put(s, "/src/a.txt", "a"), put(s, "/src/b.txt", "b"))
 			},
 			run: func(s *store.FSStore) {
-				s.CopyTreeAtomic(bg, "/src", "/dst", store.CopyOptions{Recurse: true})
+				s.CopyTree(bg, "/src", "/dst", store.CopyOptions{Recurse: true})
 			},
 			pre: func(s *store.FSStore) error {
 				return first(gone(s, "/dst"), body(s, "/src/a.txt", "a"))

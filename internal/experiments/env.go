@@ -167,14 +167,16 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 	}
 	m := enabledMetrics()
 	tr := enabledTracer()
+	var storeObs store.OpObserver
 	switch {
 	case m != nil:
-		env.Store = store.Instrument(env.Store, m.StoreObserver())
+		storeObs = m.StoreObserver()
 	case tr != nil:
 		// Tracing without metrics still needs the wrapper: it is what
 		// opens the store.<op> spans.
-		env.Store = store.Instrument(env.Store, store.NopObserver)
+		storeObs = store.NopObserver
 	}
+	env.Store = store.Instrument(env.Store, storeObs, 0)
 	env.Handler = davserver.NewHandler(env.Store, &davserver.Options{MaxPropBytes: opts.MaxPropBytes})
 	serverHandler := http.Handler(env.Handler)
 	var clientReg *obs.Registry

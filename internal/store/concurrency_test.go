@@ -32,14 +32,14 @@ func seedTree(t *testing.T, s Store) {
 	}
 }
 
-// TestBatchReadsMatchNarrowReads checks that the batched BatchReader
-// path returns exactly what the narrow Stat/List/PropAll composition
+// TestBatchReadsMatchNarrowReads checks that the batched
+// StatWithProps/ListWithProps path returns exactly what the narrow Stat/List/PropAll composition
 // would.
 func TestBatchReadsMatchNarrowReads(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		seedTree(t, s)
 		for _, p := range []string{"/", "/proj", "/proj/calc", "/proj/calc/input.dat"} {
-			ri, props, err := StatWithProps(context.Background(), s, p)
+			ri, props, err := s.StatWithProps(context.Background(), p)
 			if err != nil {
 				t.Fatalf("StatWithProps %s: %v", p, err)
 			}
@@ -64,7 +64,7 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 			}
 		}
 		for _, p := range []string{"/", "/proj", "/proj/calc"} {
-			members, err := ListWithProps(context.Background(), s, p)
+			members, err := s.ListWithProps(context.Background(), p)
 			if err != nil {
 				t.Fatalf("ListWithProps %s: %v", p, err)
 			}
@@ -88,10 +88,10 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 				}
 			}
 		}
-		if _, err := ListWithProps(context.Background(), s, "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
+		if _, err := s.ListWithProps(context.Background(), "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
 			t.Fatalf("ListWithProps on a document: err = %v, want ErrNotCollection", err)
 		}
-		if _, _, err := StatWithProps(context.Background(), s, "/nope"); !errors.Is(err, ErrNotFound) {
+		if _, _, err := s.StatWithProps(context.Background(), "/nope"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("StatWithProps on missing: err = %v, want ErrNotFound", err)
 		}
 	})
@@ -182,7 +182,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 	s.HandleCache().Close()
 	base := s.CacheStats()
 
-	if _, err := ListWithProps(context.Background(), s, "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
 		t.Fatal(err)
 	}
 	after := s.CacheStats()
@@ -190,7 +190,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 		t.Fatalf("first listing opened %d databases, want %d (one per member)", opens, n)
 	}
 
-	if _, err := ListWithProps(context.Background(), s, "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
 		t.Fatal(err)
 	}
 	final := s.CacheStats()
@@ -235,8 +235,8 @@ func TestFSStoreRenameInvalidatesCachedHandles(t *testing.T) {
 	}
 }
 
-// failingRenamer wraps MemStore with a Rename that always fails with a
-// configurable error.
+// failingRenamer wraps a store with a Rename that always fails with a
+// configurable error, so MoveTree's copy+delete fallback runs.
 type failingRenamer struct {
 	Store
 	err   error
@@ -248,7 +248,7 @@ func (f *failingRenamer) Rename(ctx context.Context, src, dst string) error {
 	return f.err
 }
 
-// TestMoveTreePropagatesPreconditionErrors locks in the Renamer
+// TestMoveTreePropagatesPreconditionErrors locks in MoveTree's rename
 // fallback contract: precondition errors surface immediately, other
 // failures degrade to copy+delete.
 func TestMoveTreePropagatesPreconditionErrors(t *testing.T) {
@@ -279,8 +279,8 @@ func TestMoveTreePropagatesPreconditionErrors(t *testing.T) {
 	}
 }
 
-// TestCopyTreeAtomicSnapshot checks that a Depth:infinity COPY through
-// the TreeCopier fast path is a consistent snapshot: a Put racing with
+// TestCopyTreeAtomicSnapshot checks that a Depth:infinity CopyTree is a
+// consistent snapshot: a Put racing with
 // the copy must wait for the copy's subtree-shared lock, so the
 // destination always reflects the pre-copy contents. The assertion
 // holds in every legal interleaving (the writer either runs strictly
@@ -291,9 +291,6 @@ func TestCopyTreeAtomicSnapshot(t *testing.T) {
 		ls, ok := s.(interface{ LockStats() pathlock.Stats })
 		if !ok {
 			t.Fatalf("%T does not expose LockStats", s)
-		}
-		if _, ok := s.(TreeCopier); !ok {
-			t.Fatalf("%T does not implement TreeCopier", s)
 		}
 		mustMkcol(t, s, "/src")
 		mustMkcol(t, s, "/src/sub")
@@ -310,7 +307,7 @@ func TestCopyTreeAtomicSnapshot(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- CopyTree(context.Background(), s, "/src", "/dst", CopyOptions{Recurse: true})
+			done <- s.CopyTree(context.Background(), "/src", "/dst", CopyOptions{Recurse: true})
 		}()
 		// Wait until the copy holds its guard (or has already finished)
 		// so the racing write overlaps the copy as often as possible.
@@ -378,7 +375,7 @@ func TestMixedOperationStress(t *testing.T) {
 					// Cross-tree reads: list a sibling worker's subtree
 					// and the shared root while it is being mutated.
 					other := fmt.Sprintf("/w%d/deep", (w+1)%workers)
-					if _, err := ListWithProps(context.Background(), s, other); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := s.ListWithProps(context.Background(), other); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Errorf("ListWithProps %s: %v", other, err)
 						return
 					}
@@ -418,7 +415,7 @@ func TestMixedOperationStress(t *testing.T) {
 		// Structural sanity after the storm.
 		for w := 0; w < workers; w++ {
 			deep := fmt.Sprintf("/w%d/deep", w)
-			members, err := ListWithProps(context.Background(), s, deep)
+			members, err := s.ListWithProps(context.Background(), deep)
 			if err != nil {
 				t.Fatalf("post-stress ListWithProps %s: %v", deep, err)
 			}

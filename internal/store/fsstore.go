@@ -176,9 +176,6 @@ var fsyncErrors atomic.Int64
 func FsyncErrors() int64 { return fsyncErrors.Load() }
 
 var _ Store = (*FSStore)(nil)
-var _ Renamer = (*FSStore)(nil)
-var _ BatchReader = (*FSStore)(nil)
-var _ TreeCopier = (*FSStore)(nil)
 
 // NewFSStore opens (creating if needed) a store rooted at dir, using
 // the given DBM flavour for property databases and default options.
@@ -599,7 +596,7 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 	return ri, props
 }
 
-// StatWithProps implements BatchReader.
+// StatWithProps implements Store.
 func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -622,7 +619,7 @@ func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, ma
 	return ri, props, nil
 }
 
-// ListWithProps implements BatchReader: one shared lock on the
+// ListWithProps implements Store: one shared lock on the
 // collection, one pass per member through cached database handles.
 func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
 	cp, err := CleanPath(p)
@@ -1031,7 +1028,7 @@ func (s *FSStore) Delete(ctx context.Context, p string) error {
 	return nil
 }
 
-// Rename implements the MOVE fast path: an atomic filesystem rename
+// Rename implements Store: an atomic filesystem rename
 // plus relocation of the member property database. Source and
 // destination subtrees are locked exclusively in one ordered
 // acquisition, so the move is atomic with respect to every other store
@@ -1130,11 +1127,11 @@ func (s *FSStore) Rename(ctx context.Context, src, dst string) error {
 	return nil
 }
 
-// CopyTreeAtomic implements TreeCopier: the whole copy runs under one
+// CopyTree implements Store: the whole copy runs under one
 // multi-path acquisition — Shared on the source subtree, Exclusive on
 // the destination — so writers cannot mutate the source mid-copy and no
 // reader observes a partially built destination tree.
-func (s *FSStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error {
+func (s *FSStore) CopyTree(ctx context.Context, src, dst string, opts CopyOptions) error {
 	csrc, err := CleanPath(src)
 	if err != nil {
 		return err
@@ -1231,7 +1228,7 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse
 }
 
 // copyResourceLocked copies one resource (body + properties) under the
-// already-held subtree locks, mirroring the generic copyResource.
+// already-held subtree locks.
 func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst string) error {
 	s.step("copy.resource")
 	if src.IsCollection {

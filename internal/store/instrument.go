@@ -19,37 +19,61 @@ type OpObserver func(op string, d time.Duration, err error)
 // tracing (not metrics) is wanted: the wrapper still creates spans.
 var NopObserver OpObserver = func(string, time.Duration, error) {}
 
-// Instrument wraps s so every Store operation is timed and reported to
-// obs, and — when the operation's context carries an active trace span
-// — recorded as a child span named "store.<op>". The span's context is
-// what flows down into the wrapped store, so deeper layers (lock
-// waits, DBM calls) nest under it. The span and the observer see the
-// same duration, measured once on the tracer's clock, so a trace and
-// the latency histogram can never disagree about one operation.
+// Instrument wraps s in the one store decorator: every Store operation
+// is timed and reported to obs, recorded as a child span named
+// "store.<op>" when its context carries an active trace span, and run
+// under its own deadline of opTimeout. The span's context is what flows
+// down into the wrapped store, so deeper layers (lock waits, DBM
+// calls) nest under it. The span and the observer see the same
+// duration, measured once on the tracer's clock, so a trace and the
+// latency histogram can never disagree about one operation.
 //
-// Get timings cover opening the document, not streaming its body (the
-// HTTP layer's response-size histograms cover transfer). The wrapper
-// preserves the Renamer fast path when the underlying store has one.
-// A nil observer returns s unchanged.
-func Instrument(s Store, obs OpObserver) Store {
+// The deadline is the davd -store-op-timeout knob: a per-operation
+// bound that keeps one pathological request (a lock convoy on a hot
+// collection, a scan of a huge property database) from holding server
+// resources indefinitely, independent of the whole-request timeout,
+// which must stay generous enough for 200 MB document transfers. It
+// applies per store call, not per request: a PROPFIND that makes many
+// store calls gets a fresh budget for each. When it fires the operation
+// returns an error wrapping context.DeadlineExceeded, which the DAV
+// layer maps to 503 with a Retry-After. A zero (or negative) opTimeout
+// disables the deadline.
+//
+// Get timings and deadlines cover opening the document, not streaming
+// its body: the returned reader outlives the deadline, which is
+// released on Close, so a slow client streaming a large body is not cut
+// off (the HTTP layer's response-size histograms cover transfer).
+//
+// A nil observer records nothing but spans; with a zero opTimeout as
+// well, Instrument returns s unchanged.
+func Instrument(s Store, obs OpObserver, opTimeout time.Duration) Store {
 	if obs == nil {
-		return s
+		if opTimeout <= 0 {
+			return s
+		}
+		obs = NopObserver
 	}
-	return &instrumentedStore{s: s, obs: obs}
+	return &instrumentedStore{s: s, obs: obs, timeout: opTimeout}
 }
 
 type instrumentedStore struct {
-	s   Store
-	obs OpObserver
+	s       Store
+	obs     OpObserver
+	timeout time.Duration // per-op deadline; <= 0 disables it
 }
 
-// begin opens the "store.<op>" span on ctx and returns the context to
-// run the operation under — the span's context, so deeper layers nest
-// under it — plus the finish function reporting one shared duration to
-// span and observer alike.
+// begin opens the "store.<op>" span on ctx and bounds it by the per-op
+// deadline. It returns the context to run the operation under — the
+// span's context, so deeper layers nest under it — plus the finish
+// function reporting one shared duration to span and observer alike
+// and releasing the deadline.
 func (is *instrumentedStore) begin(ctx context.Context, op string, attrs ...trace.Attr) (context.Context, func(err error)) {
 	ctx, end := trace.Region(ctx, "store."+op, attrs...)
-	return ctx, func(err error) { is.obs(op, end(err), err) }
+	if is.timeout <= 0 {
+		return ctx, func(err error) { is.obs(op, end(err), err) }
+	}
+	ctx, cancel := context.WithTimeout(ctx, is.timeout)
+	return ctx, func(err error) { is.obs(op, end(err), err); cancel() }
 }
 
 func (is *instrumentedStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
@@ -80,11 +104,36 @@ func (is *instrumentedStore) Put(ctx context.Context, p string, r io.Reader, con
 	return created, err
 }
 
+// Get ties the deadline's release to the reader's Close rather than to
+// the open, so the body can stream past the deadline.
 func (is *instrumentedStore) Get(ctx context.Context, p string) (io.ReadCloser, ResourceInfo, error) {
-	ctx, done := is.begin(ctx, "get", trace.Str("path", p))
+	ctx, end := trace.Region(ctx, "store.get", trace.Str("path", p))
+	var cancel context.CancelFunc
+	if is.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, is.timeout)
+	}
 	rc, ri, err := is.s.Get(ctx, p)
-	done(err)
+	is.obs("get", end(err), err)
+	if cancel != nil {
+		if err != nil {
+			cancel()
+			return nil, ri, err
+		}
+		rc = &cancelReadCloser{ReadCloser: rc, cancel: cancel}
+	}
 	return rc, ri, err
+}
+
+// cancelReadCloser releases Get's deadline when the reader closes.
+type cancelReadCloser struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (c *cancelReadCloser) Close() error {
+	err := c.ReadCloser.Close()
+	c.cancel()
+	return err
 }
 
 func (is *instrumentedStore) Delete(ctx context.Context, p string) error {
@@ -129,53 +178,18 @@ func (is *instrumentedStore) PropAll(ctx context.Context, p string) (map[xml.Nam
 	return props, err
 }
 
-// StatWithProps implements BatchReader, delegating to the wrapped
-// store's batched path when it has one and composing Stat+PropAll under
-// one span otherwise (so the timing covers the same work either way).
 func (is *instrumentedStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
 	ctx, done := is.begin(ctx, "stat_with_props", trace.Str("path", p))
-	var ri ResourceInfo
-	var props map[xml.Name][]byte
-	var err error
-	if br, ok := is.s.(BatchReader); ok {
-		ri, props, err = br.StatWithProps(ctx, p)
-	} else {
-		ri, err = is.s.Stat(ctx, p)
-		if err == nil {
-			props, err = is.s.PropAll(ctx, p)
-		}
-	}
+	ri, props, err := is.s.StatWithProps(ctx, p)
 	done(err)
-	if err != nil {
-		return ResourceInfo{}, nil, err
-	}
-	return ri, props, nil
+	return ri, props, err
 }
 
-// ListWithProps implements BatchReader; see StatWithProps.
 func (is *instrumentedStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
 	ctx, done := is.begin(ctx, "list_with_props", trace.Str("path", p))
-	var out []MemberProps
-	var err error
-	if br, ok := is.s.(BatchReader); ok {
-		out, err = br.ListWithProps(ctx, p)
-	} else {
-		var members []ResourceInfo
-		members, err = is.s.List(ctx, p)
-		for _, m := range members {
-			if err != nil {
-				break
-			}
-			var props map[xml.Name][]byte
-			props, err = is.s.PropAll(ctx, m.Path)
-			out = append(out, MemberProps{Info: m, Props: props})
-		}
-	}
+	members, err := is.s.ListWithProps(ctx, p)
 	done(err)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return members, err
 }
 
 func (is *instrumentedStore) Close() error {
@@ -185,31 +199,18 @@ func (is *instrumentedStore) Close() error {
 	return err
 }
 
-// CopyTreeAtomic implements the TreeCopier fast path by delegating to
-// the wrapped store when it supports one; otherwise
-// ErrAtomicCopyUnsupported tells CopyTree to take the generic
-// per-resource walk.
-func (is *instrumentedStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error {
-	tc, ok := is.s.(TreeCopier)
-	if !ok {
-		return ErrAtomicCopyUnsupported
-	}
+// CopyTree runs the whole copy under one span and one deadline: it is
+// one store operation.
+func (is *instrumentedStore) CopyTree(ctx context.Context, src, dst string, opts CopyOptions) error {
 	ctx, done := is.begin(ctx, "copy_tree", trace.Str("src", src), trace.Str("dst", dst))
-	err := tc.CopyTreeAtomic(ctx, src, dst, opts)
+	err := is.s.CopyTree(ctx, src, dst, opts)
 	done(err)
 	return err
 }
 
-// Rename implements the Renamer fast path by delegating to the wrapped
-// store when it supports one; otherwise ErrRenameUnsupported tells
-// MoveTree to take the generic copy+delete path.
 func (is *instrumentedStore) Rename(ctx context.Context, src, dst string) error {
-	r, ok := is.s.(Renamer)
-	if !ok {
-		return ErrRenameUnsupported
-	}
 	ctx, done := is.begin(ctx, "rename", trace.Str("src", src), trace.Str("dst", dst))
-	err := r.Rename(ctx, src, dst)
+	err := is.s.Rename(ctx, src, dst)
 	done(err)
 	return err
 }

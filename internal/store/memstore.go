@@ -48,8 +48,6 @@ type memResource struct {
 }
 
 var _ Store = (*MemStore)(nil)
-var _ BatchReader = (*MemStore)(nil)
-var _ TreeCopier = (*MemStore)(nil)
 
 // NewMemStore returns an empty store containing only the root
 // collection.
@@ -180,7 +178,7 @@ func (s *MemStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 	return out, nil
 }
 
-// StatWithProps implements BatchReader.
+// StatWithProps implements Store.
 func (s *MemStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -200,7 +198,7 @@ func (s *MemStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, m
 	return s.infoFor(cp, r), copyProps(r.props), nil
 }
 
-// ListWithProps implements BatchReader.
+// ListWithProps implements Store.
 func (s *MemStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -347,11 +345,11 @@ func (s *MemStore) Delete(ctx context.Context, p string) error {
 	return nil
 }
 
-// CopyTreeAtomic implements TreeCopier: the whole copy runs under one
+// CopyTree implements Store: the whole copy runs under one
 // multi-path acquisition — Shared on the source subtree, Exclusive on
 // the destination — plus the map mutex, so it is a consistent snapshot
 // of the source and appears at the destination all at once.
-func (s *MemStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error {
+func (s *MemStore) CopyTree(ctx context.Context, src, dst string, opts CopyOptions) error {
 	csrc, err := CleanPath(src)
 	if err != nil {
 		return err
@@ -402,9 +400,8 @@ func (s *MemStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Cop
 	return nil
 }
 
-// copyResLocked clones one resource to cdst, mirroring the generic
-// copyResource (Mkcol/Put plus property sets). Caller holds the path
-// locks and state.mu.
+// copyResLocked clones one resource to cdst with Mkcol/Put semantics
+// plus its property sets. Caller holds the path locks and state.mu.
 func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) error {
 	if !s.parentOK(cdst) {
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
@@ -438,6 +435,58 @@ func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) err
 	s.state.res[cdst] = &memResource{data: append([]byte(nil), r.data...),
 		contentType: r.contentType, props: copyProps(r.props),
 		modTime: now, createTime: now}
+	return nil
+}
+
+// Rename implements Store, mirroring FSStore.Rename: source and
+// destination subtrees are locked exclusively in one ordered
+// acquisition, plus the map mutex, so the move is atomic with respect
+// to every other store operation and cannot deadlock against a
+// crossing move. The moved resources keep their bodies, properties,
+// timestamps and ETags.
+func (s *MemStore) Rename(ctx context.Context, src, dst string) error {
+	csrc, err := CleanPath(src)
+	if err != nil {
+		return err
+	}
+	cdst, err := CleanPath(dst)
+	if err != nil {
+		return err
+	}
+	if csrc == "/" || cdst == "/" || csrc == cdst ||
+		IsAncestor(csrc, cdst) || IsAncestor(cdst, csrc) {
+		return fmt.Errorf("%w: rename %q -> %q", ErrBadPath, src, dst)
+	}
+	g, err := s.state.locks.Acquire(ctx,
+		pathlock.Req{Path: csrc, Mode: pathlock.Exclusive},
+		pathlock.Req{Path: cdst, Mode: pathlock.Exclusive})
+	if err != nil {
+		return err
+	}
+	defer g.Release()
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
+
+	if _, ok := s.state.res[csrc]; !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, csrc)
+	}
+	if _, ok := s.state.res[cdst]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, cdst)
+	}
+	if !s.parentOK(cdst) {
+		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
+	}
+	prefix := csrc + "/"
+	var moved []string
+	for q := range s.state.res {
+		if q == csrc || strings.HasPrefix(q, prefix) {
+			moved = append(moved, q)
+		}
+	}
+	for _, q := range moved {
+		s.state.res[cdst+q[len(csrc):]] = s.state.res[q]
+		delete(s.state.res, q)
+	}
 	return nil
 }
 

@@ -291,7 +291,7 @@ func TestRecoverRollsBackCopyCrashedMidway(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustCrash(t, func() {
-		s.CopyTreeAtomic(context.Background(), "/src", "/dst", CopyOptions{Recurse: true})
+		s.CopyTree(context.Background(), "/src", "/dst", CopyOptions{Recurse: true})
 	})
 
 	s2 := reopen(t, dir)

@@ -350,7 +350,7 @@ func TestCopyTreeDocumentWithProps(t *testing.T) {
 		mustPut(t, s, "/src.txt", "body")
 		name := xml.Name{Space: "e:", Local: "k"}
 		s.PropPut(context.Background(), "/src.txt", name, []byte("v"))
-		if err := CopyTree(context.Background(), s, "/src.txt", "/dst.txt", CopyOptions{}); err != nil {
+		if err := s.CopyTree(context.Background(), "/src.txt", "/dst.txt", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if got := readBody(t, s, "/dst.txt"); got != "body" {
@@ -375,7 +375,7 @@ func TestCopyTreeRecursive(t *testing.T) {
 		mustPut(t, s, "/a/sub/deep", "x")
 		s.PropPut(context.Background(), "/a", xml.Name{Space: "e:", Local: "p"}, []byte("cv"))
 
-		if err := CopyTree(context.Background(), s, "/a", "/b", CopyOptions{Recurse: true}); err != nil {
+		if err := s.CopyTree(context.Background(), "/a", "/b", CopyOptions{Recurse: true}); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []string{"/b", "/b/sub", "/b/doc", "/b/sub/deep"} {
@@ -388,7 +388,7 @@ func TestCopyTreeRecursive(t *testing.T) {
 			t.Fatal("collection property not copied")
 		}
 		// Depth 0: only the collection itself.
-		if err := CopyTree(context.Background(), s, "/a", "/shallow", CopyOptions{}); err != nil {
+		if err := s.CopyTree(context.Background(), "/a", "/shallow", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Stat(context.Background(), "/shallow/doc"); !errors.Is(err, ErrNotFound) {
@@ -400,10 +400,10 @@ func TestCopyTreeRecursive(t *testing.T) {
 func TestCopyIntoSelfRejected(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		mustMkcol(t, s, "/a")
-		if err := CopyTree(context.Background(), s, "/a", "/a/inside", CopyOptions{Recurse: true}); !errors.Is(err, ErrBadPath) {
+		if err := s.CopyTree(context.Background(), "/a", "/a/inside", CopyOptions{Recurse: true}); !errors.Is(err, ErrBadPath) {
 			t.Fatalf("copy into self = %v, want ErrBadPath", err)
 		}
-		if err := CopyTree(context.Background(), s, "/a", "/a", CopyOptions{}); !errors.Is(err, ErrBadPath) {
+		if err := s.CopyTree(context.Background(), "/a", "/a", CopyOptions{}); !errors.Is(err, ErrBadPath) {
 			t.Fatalf("copy onto self = %v, want ErrBadPath", err)
 		}
 	})
@@ -667,7 +667,7 @@ func TestQuickCopyPreservesTree(t *testing.T) {
 			s.PropPut(context.Background(), child, xml.Name{Space: "e:", Local: "id"}, []byte(fmt.Sprintf("<id>%d</id>", i)))
 			paths = append(paths, child)
 		}
-		if err := CopyTree(context.Background(), s, "/src", "/dst", CopyOptions{Recurse: true}); err != nil {
+		if err := s.CopyTree(context.Background(), "/src", "/dst", CopyOptions{Recurse: true}); err != nil {
 			t.Logf("copy: %v", err)
 			return false
 		}
@@ -704,7 +704,7 @@ func TestContentTypeSurvivesCopy(t *testing.T) {
 		if _, err := s.Put(context.Background(), "/m.dat", strings.NewReader("geom"), "chemical/x-xyz"); err != nil {
 			t.Fatal(err)
 		}
-		if err := CopyTree(context.Background(), s, "/m.dat", "/copy.dat", CopyOptions{}); err != nil {
+		if err := s.CopyTree(context.Background(), "/m.dat", "/copy.dat", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ri, err := s.Stat(context.Background(), "/copy.dat")
@@ -714,25 +714,28 @@ func TestContentTypeSurvivesCopy(t *testing.T) {
 	})
 }
 
-// nonRenamer hides the FSStore Renamer fast path, forcing MoveTree's
-// generic copy+delete fallback.
-type nonRenamer struct{ Store }
-
+// TestMoveTreeWithoutRenamer covers MoveTree's copy+delete fallback:
+// FSStore's Rename fails with a non-precondition error (a cross-device
+// rename, say), so the move must still complete through CopyTree and
+// Delete.
 func TestMoveTreeWithoutRenamer(t *testing.T) {
 	fs, err := NewFSStore(t.TempDir(), dbm.GDBM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	s := nonRenamer{fs}
+	s := &failingRenamer{Store: fs, err: errors.New("rename: cross-device link")}
 	mustMkcol(t, s, "/m")
 	mustPut(t, s, "/m/doc", "payload")
 	s.PropPut(context.Background(), "/m/doc", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
 	if err := MoveTree(context.Background(), s, "/m", "/moved"); err != nil {
 		t.Fatal(err)
 	}
+	if s.calls != 1 {
+		t.Fatalf("rename attempted %d times, want 1", s.calls)
+	}
 	if _, err := s.Stat(context.Background(), "/m"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("source survived generic move")
+		t.Fatal("source survived fallback move")
 	}
 	if got := readBody(t, s, "/moved/doc"); got != "payload" {
 		t.Fatalf("moved body = %q", got)
@@ -744,26 +747,30 @@ func TestMoveTreeWithoutRenamer(t *testing.T) {
 }
 
 func TestRenameFastPathErrors(t *testing.T) {
-	fs, err := NewFSStore(t.TempDir(), dbm.GDBM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	mustPut(t, fs, "/a", "1")
-	mustPut(t, fs, "/b", "2")
-	// Rename onto an existing target must refuse (never clobber).
-	if err := fs.Rename(context.Background(), "/a", "/b"); !errors.Is(err, ErrExists) {
-		t.Fatalf("rename onto existing = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/missing", "/c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("rename of missing = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/a", "/no/parent/x"); !errors.Is(err, ErrConflict) {
-		t.Fatalf("rename without parent = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/a", "/a"); !errors.Is(err, ErrBadPath) {
-		t.Fatalf("rename onto self = %v", err)
-	}
+	eachStore(t, func(t *testing.T, s Store) {
+		mustPut(t, s, "/a", "1")
+		mustPut(t, s, "/b", "2")
+		mustMkcol(t, s, "/c")
+		// Rename onto an existing target must refuse (never clobber).
+		if err := s.Rename(context.Background(), "/a", "/b"); !errors.Is(err, ErrExists) {
+			t.Fatalf("rename onto existing = %v", err)
+		}
+		if err := s.Rename(context.Background(), "/missing", "/d"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("rename of missing = %v", err)
+		}
+		if err := s.Rename(context.Background(), "/a", "/no/parent/x"); !errors.Is(err, ErrConflict) {
+			t.Fatalf("rename without parent = %v", err)
+		}
+		if err := s.Rename(context.Background(), "/a", "/a"); !errors.Is(err, ErrBadPath) {
+			t.Fatalf("rename onto self = %v", err)
+		}
+		if err := s.Rename(context.Background(), "/c", "/c/inside"); !errors.Is(err, ErrBadPath) {
+			t.Fatalf("rename into self = %v", err)
+		}
+		if got := readBody(t, s, "/a"); got != "1" {
+			t.Fatalf("refused renames mutated the source: %q", got)
+		}
+	})
 }
 
 // TestQuickCleanPathIdempotent: CleanPath is idempotent and always

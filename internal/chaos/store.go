@@ -207,19 +207,19 @@ func (f *FaultyStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byt
 }
 
 // StatWithProps implements store.Store.
-func (f *FaultyStore) StatWithProps(ctx context.Context, p string) (store.ResourceInfo, map[xml.Name][]byte, error) {
+func (f *FaultyStore) StatWithProps(ctx context.Context, p string, want []xml.Name) (store.ResourceInfo, map[xml.Name][]byte, error) {
 	if f.fail(OpStatWithProps) {
 		return store.ResourceInfo{}, nil, ErrInjected
 	}
-	return f.Store.StatWithProps(ctx, p)
+	return f.Store.StatWithProps(ctx, p, want)
 }
 
 // ListWithProps implements store.Store.
-func (f *FaultyStore) ListWithProps(ctx context.Context, p string) ([]store.MemberProps, error) {
+func (f *FaultyStore) ListWithProps(ctx context.Context, p string, want []xml.Name) ([]store.MemberProps, error) {
 	if f.fail(OpListWithProps) {
 		return nil, ErrInjected
 	}
-	return f.Store.ListWithProps(ctx, p)
+	return f.Store.ListWithProps(ctx, p, want)
 }
 
 // CopyTree implements store.Store.

@@ -12,6 +12,7 @@
 package davproto
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -70,7 +71,14 @@ func ParseDepth(h string, def Depth) (Depth, error) {
 // property, whose content (text and/or child elements) is the value.
 type Property struct {
 	// XML is the property element. XML.Name is the property's name.
+	// It is nil for a raw property.
 	XML *xmldom.Node
+	// Raw, when set, is the property element as stored: a fragment
+	// xmldom.Canonical accepts, which Multistatus.Marshal copies into
+	// the response verbatim instead of serializing a tree.
+	Raw []byte
+
+	name xml.Name // a raw property's name
 }
 
 // NewTextProperty returns a property with simple text content.
@@ -78,15 +86,31 @@ func NewTextProperty(space, local, text string) Property {
 	return Property{XML: xmldom.NewTextElement(space, local, text)}
 }
 
+// RawProperty returns the property name whose stored encoding is raw.
+// The caller has checked raw with xmldom.Canonical.
+func RawProperty(name xml.Name, raw []byte) Property {
+	return Property{Raw: raw, name: name}
+}
+
 // Name returns the property's qualified name.
-func (p Property) Name() xml.Name { return p.XML.Name }
+func (p Property) Name() xml.Name {
+	if p.XML == nil {
+		return p.name
+	}
+	return p.XML.Name
+}
 
 // Text returns the property's flattened text content.
 func (p Property) Text() string { return strings.TrimSpace(p.XML.TextContent()) }
 
 // Encode serializes the property as a self-contained XML fragment
 // suitable for storage.
-func (p Property) Encode() []byte { return xmldom.Marshal(p.XML) }
+func (p Property) Encode() []byte {
+	if p.XML == nil {
+		return p.Raw
+	}
+	return xmldom.Marshal(p.XML)
+}
 
 // DecodeProperty parses a stored property fragment.
 func DecodeProperty(b []byte) (Property, error) {
@@ -263,29 +287,49 @@ func ParseStatusLine(s string) (int, error) {
 	return code, nil
 }
 
-// Marshal renders the multistatus document.
+// Marshal renders the multistatus document, writing it straight into
+// one buffer. A raw property is copied as stored; any other property is
+// serialized by xmldom.MarshalTo as a self-contained fragment. Neither
+// needs a binding from the document, whose root declares only the D
+// prefix and no default namespace.
 func (ms Multistatus) Marshal() []byte {
-	root := xmldom.NewElement(NS, "multistatus")
+	var buf bytes.Buffer
+	buf.WriteString(xml.Header)
+	buf.WriteString(`<D:multistatus xmlns:D="DAV:">`)
 	for _, r := range ms.Responses {
-		resp := root.Add(NS, "response")
-		resp.AddText(NS, "href", r.Href)
+		buf.WriteString("<D:response><D:href>")
+		xml.EscapeText(&buf, []byte(r.Href))
+		buf.WriteString("</D:href>")
 		for _, ps := range r.Propstats {
-			pse := resp.Add(NS, "propstat")
-			prop := pse.Add(NS, "prop")
+			buf.WriteString("<D:propstat><D:prop>")
 			for _, p := range ps.Props {
-				prop.AppendChild(p.XML.Clone())
+				if p.XML == nil {
+					buf.Write(p.Raw)
+				} else {
+					xmldom.MarshalTo(&buf, p.XML)
+				}
 			}
-			pse.AddText(NS, "status", StatusLine(ps.Status))
+			buf.WriteString("</D:prop>")
+			writeStatus(&buf, ps.Status)
+			buf.WriteString("</D:propstat>")
 		}
 		if len(r.Propstats) == 0 {
 			code := r.Status
 			if code == 0 {
 				code = http.StatusOK
 			}
-			resp.AddText(NS, "status", StatusLine(code))
+			writeStatus(&buf, code)
 		}
+		buf.WriteString("</D:response>")
 	}
-	return xmldom.MarshalDocument(root)
+	buf.WriteString("</D:multistatus>")
+	return buf.Bytes()
+}
+
+func writeStatus(buf *bytes.Buffer, code int) {
+	buf.WriteString("<D:status>")
+	xml.EscapeText(buf, []byte(StatusLine(code)))
+	buf.WriteString("</D:status>")
 }
 
 // ParseMultistatus parses a 207 body via the DOM (the paper's measured

@@ -623,36 +623,42 @@ func (h *Handler) liveProp(ri store.ResourceInfo, name xml.Name) (davproto.Prope
 	}
 }
 
-// decodeDeadProps decodes a resource's raw property map, sorted by
-// name. Undecodable values are logged and skipped.
-func (h *Handler) decodeDeadProps(p string, raw map[xml.Name][]byte) []davproto.Property {
-	names := make([]xml.Name, 0, len(raw))
-	for n := range raw {
-		names = append(names, n)
+// storedProp turns a stored property value into a response property.
+// A value in xmldom.Canonical form goes out as stored; any other value
+// is decoded, and an undecodable one is logged and reported !ok.
+func (h *Handler) storedProp(p string, name xml.Name, raw []byte) (davproto.Property, bool) {
+	if xmldom.Canonical(raw) {
+		return davproto.RawProperty(name, raw), true
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if names[i].Space != names[j].Space {
-			return names[i].Space < names[j].Space
-		}
-		return names[i].Local < names[j].Local
-	})
-	props := make([]davproto.Property, 0, len(names))
-	for _, n := range names {
-		prop, err := davproto.DecodeProperty(raw[n])
-		if err != nil {
-			h.logf("dav: undecodable stored property %v on %s: %v", n, p, err)
-			continue
-		}
-		props = append(props, prop)
+	prop, err := davproto.DecodeProperty(raw)
+	if err != nil {
+		h.logf("dav: undecodable stored property %v on %s: %v", name, p, err)
+		return davproto.Property{}, false
 	}
-	return props
+	return prop, true
+}
+
+// propfindWant names the dead properties a PROPFIND reads from the
+// store: every one (nil) for allprop and propname, else the non-live
+// names of the <prop> request.
+func propfindWant(pf davproto.Propfind) []xml.Name {
+	if pf.Kind != davproto.PropfindProps {
+		return nil
+	}
+	want := make([]xml.Name, 0, len(pf.Props))
+	for _, name := range pf.Props {
+		if !davproto.IsLiveProp(name) {
+			want = append(want, name)
+		}
+	}
+	return want
 }
 
 // handlePropfind resolves the target set through the store's batched
-// reads (StatWithProps, ListWithProps): each resource arrives with its
-// dead properties already loaded, so a Depth:1 listing costs one locked
-// pass through cached property databases instead of one independent
-// lookup per member per property request.
+// reads (StatWithProps, ListWithProps): each resource arrives with the
+// dead properties the request names already loaded, so a Depth:1
+// listing costs one locked pass through cached property databases
+// instead of one independent lookup per member per property request.
 func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p string) {
 	depth, err := davproto.ParseDepth(r.Header.Get("Depth"), davproto.DepthInfinity)
 	if err != nil {
@@ -672,7 +678,8 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ri, props, err := h.store.StatWithProps(r.Context(), p)
+	want := propfindWant(pf)
+	ri, props, err := h.store.StatWithProps(r.Context(), p, want)
 	if err != nil {
 		h.fail(w, r, err)
 		return
@@ -686,7 +693,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 	case davproto.Depth1:
 		targets = []store.MemberProps{self}
 		if ri.IsCollection {
-			members, err := h.store.ListWithProps(r.Context(), p)
+			members, err := h.store.ListWithProps(r.Context(), p, want)
 			if err != nil {
 				h.fail(w, r, err)
 				return
@@ -698,7 +705,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 			}
 		}
 	default:
-		err = store.WalkWithProps(r.Context(), h.store, p, func(m store.MemberProps) error {
+		err = store.WalkWithProps(r.Context(), h.store, p, want, func(m store.MemberProps) error {
 			if visible(m.Info.Path) || !visible(p) {
 				targets = append(targets, m)
 			}
@@ -710,7 +717,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		}
 	}
 
-	var ms davproto.Multistatus
+	ms := davproto.Multistatus{Responses: make([]davproto.Response, 0, len(targets))}
 	for _, t := range targets {
 		ms.Responses = append(ms.Responses, h.propfindResponse(t, pf))
 	}
@@ -722,46 +729,43 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 func (h *Handler) propfindResponse(mp store.MemberProps, pf davproto.Propfind) davproto.Response {
 	ri := mp.Info
 	resp := davproto.Response{Href: h.opts.Prefix + ri.Path}
+	nameOnly := func(name xml.Name) davproto.Property {
+		return davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)}
+	}
 	switch pf.Kind {
 	case davproto.PropfindAllProp, davproto.PropfindPropName:
-		var found []davproto.Property
+		found := make([]davproto.Property, 0, len(davproto.LiveProps)+len(mp.Props))
 		for _, name := range davproto.LiveProps {
 			if prop, ok := h.liveProp(ri, name); ok {
+				if pf.Kind == davproto.PropfindPropName {
+					prop = nameOnly(name)
+				}
 				found = append(found, prop)
 			}
 		}
-		found = append(found, h.decodeDeadProps(ri.Path, mp.Props)...)
-		if pf.Kind == davproto.PropfindPropName {
-			for i, prop := range found {
-				found[i] = davproto.Property{
-					XML: xmldom.NewElement(prop.Name().Space, prop.Name().Local),
-				}
+		for _, name := range store.SortedPropNames(mp.Props) {
+			if pf.Kind == davproto.PropfindPropName {
+				found = append(found, nameOnly(name))
+			} else if prop, ok := h.storedProp(ri.Path, name, mp.Props[name]); ok {
+				found = append(found, prop)
 			}
 		}
 		resp.Propstats = []davproto.Propstat{{Props: found, Status: http.StatusOK}}
 	case davproto.PropfindProps:
 		var found, missing []davproto.Property
 		for _, name := range pf.Props {
+			var prop davproto.Property
+			ok := false
 			if davproto.IsLiveProp(name) {
-				if prop, ok := h.liveProp(ri, name); ok {
-					found = append(found, prop)
-					continue
-				}
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
+				prop, ok = h.liveProp(ri, name)
+			} else if raw, stored := mp.Props[name]; stored {
+				prop, ok = h.storedProp(ri.Path, name, raw)
 			}
-			raw, ok := mp.Props[name]
-			if !ok {
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
+			if ok {
+				found = append(found, prop)
+			} else {
+				missing = append(missing, nameOnly(name))
 			}
-			prop, err := davproto.DecodeProperty(raw)
-			if err != nil {
-				h.logf("dav: undecodable stored property %v on %s: %v", name, ri.Path, err)
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
-			}
-			found = append(found, prop)
 		}
 		if len(found) > 0 {
 			resp.Propstats = append(resp.Propstats, davproto.Propstat{Props: found, Status: http.StatusOK})

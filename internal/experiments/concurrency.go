@@ -109,8 +109,8 @@ func (ss *serializedStore) PropAll(ctx context.Context, p string) (props map[xml
 	return
 }
 
-// StatWithProps composes Stat and PropAll.
-func (ss *serializedStore) StatWithProps(ctx context.Context, p string) (store.ResourceInfo, map[xml.Name][]byte, error) {
+// StatWithProps composes Stat and PropAll, filtered to want.
+func (ss *serializedStore) StatWithProps(ctx context.Context, p string, want []xml.Name) (store.ResourceInfo, map[xml.Name][]byte, error) {
 	ri, err := ss.Stat(ctx, p)
 	if err != nil {
 		return store.ResourceInfo{}, nil, err
@@ -119,11 +119,12 @@ func (ss *serializedStore) StatWithProps(ctx context.Context, p string) (store.R
 	if err != nil {
 		return store.ResourceInfo{}, nil, err
 	}
-	return ri, props, nil
+	return ri, store.SelectProps(props, want), nil
 }
 
-// ListWithProps composes List and one PropAll per member.
-func (ss *serializedStore) ListWithProps(ctx context.Context, p string) ([]store.MemberProps, error) {
+// ListWithProps composes List and one PropAll per member, filtered to
+// want.
+func (ss *serializedStore) ListWithProps(ctx context.Context, p string, want []xml.Name) ([]store.MemberProps, error) {
 	members, err := ss.List(ctx, p)
 	if err != nil {
 		return nil, err
@@ -134,7 +135,7 @@ func (ss *serializedStore) ListWithProps(ctx context.Context, p string) ([]store
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, store.MemberProps{Info: m, Props: props})
+		out = append(out, store.MemberProps{Info: m, Props: store.SelectProps(props, want)})
 	}
 	return out, nil
 }

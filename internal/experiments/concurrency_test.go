@@ -35,7 +35,7 @@ func TestSerializedStoreParity(t *testing.T) {
 		}
 	}
 	counted.calls.Store(0)
-	members, err := ss.ListWithProps(ctx, "/")
+	members, err := ss.ListWithProps(ctx, "/", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		seedTree(t, s)
 		for _, p := range []string{"/", "/proj", "/proj/calc", "/proj/calc/input.dat"} {
-			ri, props, err := s.StatWithProps(context.Background(), p)
+			ri, props, err := s.StatWithProps(context.Background(), p, nil)
 			if err != nil {
 				t.Fatalf("StatWithProps %s: %v", p, err)
 			}
@@ -64,7 +64,7 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 			}
 		}
 		for _, p := range []string{"/", "/proj", "/proj/calc"} {
-			members, err := s.ListWithProps(context.Background(), p)
+			members, err := s.ListWithProps(context.Background(), p, nil)
 			if err != nil {
 				t.Fatalf("ListWithProps %s: %v", p, err)
 			}
@@ -88,10 +88,10 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 				}
 			}
 		}
-		if _, err := s.ListWithProps(context.Background(), "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
+		if _, err := s.ListWithProps(context.Background(), "/proj/readme.txt", nil); !errors.Is(err, ErrNotCollection) {
 			t.Fatalf("ListWithProps on a document: err = %v, want ErrNotCollection", err)
 		}
-		if _, _, err := s.StatWithProps(context.Background(), "/nope"); !errors.Is(err, ErrNotFound) {
+		if _, _, err := s.StatWithProps(context.Background(), "/nope", nil); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("StatWithProps on missing: err = %v, want ErrNotFound", err)
 		}
 	})
@@ -182,7 +182,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 	s.HandleCache().Close()
 	base := s.CacheStats()
 
-	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d", nil); err != nil {
 		t.Fatal(err)
 	}
 	after := s.CacheStats()
@@ -190,7 +190,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 		t.Fatalf("first listing opened %d databases, want %d (one per member)", opens, n)
 	}
 
-	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d", nil); err != nil {
 		t.Fatal(err)
 	}
 	final := s.CacheStats()
@@ -375,7 +375,7 @@ func TestMixedOperationStress(t *testing.T) {
 					// Cross-tree reads: list a sibling worker's subtree
 					// and the shared root while it is being mutated.
 					other := fmt.Sprintf("/w%d/deep", (w+1)%workers)
-					if _, err := s.ListWithProps(context.Background(), other); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := s.ListWithProps(context.Background(), other, nil); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Errorf("ListWithProps %s: %v", other, err)
 						return
 					}
@@ -415,7 +415,7 @@ func TestMixedOperationStress(t *testing.T) {
 		// Structural sanity after the storm.
 		for w := 0; w < workers; w++ {
 			deep := fmt.Sprintf("/w%d/deep", w)
-			members, err := s.ListWithProps(context.Background(), deep)
+			members, err := s.ListWithProps(context.Background(), deep, nil)
 			if err != nil {
 				t.Fatalf("post-stress ListWithProps %s: %v", deep, err)
 			}

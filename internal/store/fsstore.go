@@ -406,15 +406,28 @@ func (s *FSStore) withProps(ctx context.Context, cp string, create bool, fn func
 // zero values. Caller holds the resource's path lock.
 func (s *FSStore) internalMeta(ctx context.Context, cp string) (ctype string, gen int64) {
 	s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
-		if v, ok, _ := h.Get(internalKey(ikeyContentType)); ok {
-			ctype = string(v)
-		}
-		if v, ok, _ := h.Get(internalKey(ikeyGeneration)); ok {
-			gen, _ = strconv.ParseInt(string(v), 10, 64)
-		}
+		ctype, gen, _ = readInternalMeta(h)
 		return nil
 	})
 	return ctype, gen
+}
+
+// readInternalMeta looks up the content type and generation keys.
+func readInternalMeta(h *dbm.Handle) (ctype string, gen int64, err error) {
+	v, ok, err := h.Get(internalKey(ikeyContentType))
+	if err != nil {
+		return "", 0, err
+	}
+	if ok {
+		ctype = string(v)
+	}
+	if v, ok, err = h.Get(internalKey(ikeyGeneration)); err != nil {
+		return "", 0, err
+	}
+	if ok {
+		gen, _ = strconv.ParseInt(string(v), 10, 64)
+	}
+	return ctype, gen, nil
 }
 
 // Stat implements Store.
@@ -497,39 +510,43 @@ func (s *FSStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 		return nil, err
 	}
 	defer g.Release()
-	infos, _, err := s.list(ctx, cp, false)
-	return infos, err
+	return s.listInfos(ctx, cp)
 }
 
-// list reads the members of cp under an already-held shared lock. When
-// withProps is true each member's full property map is loaded in the
-// same pass through its (cached) database handle.
-func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]ResourceInfo, []map[xml.Name][]byte, error) {
+// listInfos is List under an already-held shared lock.
+func (s *FSStore) listInfos(ctx context.Context, cp string) ([]ResourceInfo, error) {
+	members, err := s.list(ctx, cp, func(child string, fi fs.FileInfo) (MemberProps, error) {
+		return MemberProps{Info: s.infoFor(ctx, child, fi)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	infos := make([]ResourceInfo, len(members))
+	for i, m := range members {
+		infos[i] = m.Info
+	}
+	return infos, nil
+}
+
+// list resolves each member of cp with resolve, under an already-held
+// shared lock, and returns the members sorted by path.
+func (s *FSStore) list(ctx context.Context, cp string, resolve func(child string, fi fs.FileInfo) (MemberProps, error)) ([]MemberProps, error) {
 	dp, err := s.diskPath(cp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fi, err := os.Stat(dp)
 	if err != nil {
-		return nil, nil, mapFSErr(err, cp)
+		return nil, mapFSErr(err, cp)
 	}
 	if !fi.IsDir() {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotCollection, cp)
+		return nil, fmt.Errorf("%w: %s", ErrNotCollection, cp)
 	}
 	ents, err := os.ReadDir(dp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	infos := make([]ResourceInfo, 0, len(ents))
-	var props []map[xml.Name][]byte
-	if withProps {
-		props = make([]map[xml.Name][]byte, 0, len(ents))
-	}
-	type memberEntry struct {
-		info ResourceInfo
-		prop map[xml.Name][]byte
-	}
-	members := make([]memberEntry, 0, len(ents))
+	members := make([]MemberProps, 0, len(ents))
 	for _, e := range ents {
 		if e.Name() == propDirName {
 			continue
@@ -537,67 +554,80 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Resour
 		// A wide collection listing touches one property database per
 		// member; stop resolving members once the request is abandoned.
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		efi, err := e.Info()
 		if err != nil {
 			continue // raced with deletion
 		}
-		child := path.Join(cp, e.Name())
-		var me memberEntry
-		if withProps {
-			me.info, me.prop = s.resolveWithProps(ctx, child, efi)
-		} else {
-			me.info = s.infoFor(ctx, child, efi)
+		m, err := resolve(path.Join(cp, e.Name()), efi)
+		if err != nil {
+			return nil, err
 		}
-		members = append(members, me)
+		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].info.Path < members[j].info.Path })
-	for _, m := range members {
-		infos = append(infos, m.info)
-		if withProps {
-			props = append(props, m.prop)
-		}
-	}
-	return infos, props, nil
+	sort.Slice(members, func(i, j int) bool { return members[i].Info.Path < members[j].Info.Path })
+	return members, nil
 }
 
-// resolveWithProps builds one resource's info and property map in a
-// single pass over its property database: dead properties and internal
-// metadata come out of the same iteration through one cached handle.
-func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo) (ResourceInfo, map[xml.Name][]byte) {
-	ri := ResourceInfo{
+// resolveWithProps builds one resource's info and dead properties
+// through one cached handle on its property database. want == nil
+// takes every property in one ForEach pass; otherwise each wanted
+// name, and then the internal metadata keys, is looked up by key.
+func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo, want []xml.Name) (MemberProps, error) {
+	mp := MemberProps{Info: ResourceInfo{
 		Path:         cp,
 		IsCollection: fi.IsDir(),
 		ModTime:      fi.ModTime(),
 		CreateTime:   fi.ModTime(),
-	}
+	}}
 	props := map[xml.Name][]byte{}
 	var ctype string
 	var gen int64
-	s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
-		return h.ForEach(func(k, v []byte) error {
-			if name, ok := parsePropKey(k); ok {
-				props[name] = v
+	err := s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+		if want == nil {
+			return h.ForEach(func(k, v []byte) error {
+				if name, ok := parsePropKey(k); ok {
+					props[name] = v
+					return nil
+				}
+				switch string(k) {
+				case string(internalKey(ikeyContentType)):
+					ctype = string(v)
+				case string(internalKey(ikeyGeneration)):
+					gen, _ = strconv.ParseInt(string(v), 10, 64)
+				}
 				return nil
+			})
+		}
+		for _, name := range want {
+			v, ok, err := h.Get(propKey(name))
+			if err != nil {
+				return err
 			}
-			switch string(k) {
-			case string(internalKey(ikeyContentType)):
-				ctype = string(v)
-			case string(internalKey(ikeyGeneration)):
-				gen, _ = strconv.ParseInt(string(v), 10, 64)
+			if ok {
+				props[name] = v
 			}
+		}
+		if fi.IsDir() {
 			return nil
-		})
+		}
+		var err error
+		ctype, gen, err = readInternalMeta(h)
+		return err
 	})
-	if !fi.IsDir() {
-		s.fillDocInfo(&ri, fi, ctype, gen)
+	if err != nil {
+		return MemberProps{}, err
 	}
-	return ri, props
+	if !fi.IsDir() {
+		s.fillDocInfo(&mp.Info, fi, ctype, gen)
+	}
+	mp.Props = props
+	return mp, nil
 }
 
 // StatWithProps implements Store.
-func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
+func (s *FSStore) StatWithProps(ctx context.Context, p string, want []xml.Name) (ResourceInfo, map[xml.Name][]byte, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
 		return ResourceInfo{}, nil, err
@@ -615,13 +645,16 @@ func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, ma
 	if err != nil {
 		return ResourceInfo{}, nil, mapFSErr(err, cp)
 	}
-	ri, props := s.resolveWithProps(ctx, cp, fi)
-	return ri, props, nil
+	mp, err := s.resolveWithProps(ctx, cp, fi, want)
+	if err != nil {
+		return ResourceInfo{}, nil, err
+	}
+	return mp.Info, mp.Props, nil
 }
 
 // ListWithProps implements Store: one shared lock on the
 // collection, one pass per member through cached database handles.
-func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
+func (s *FSStore) ListWithProps(ctx context.Context, p string, want []xml.Name) ([]MemberProps, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
 		return nil, err
@@ -631,15 +664,9 @@ func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, e
 		return nil, err
 	}
 	defer g.Release()
-	infos, props, err := s.list(ctx, cp, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MemberProps, len(infos))
-	for i := range infos {
-		out[i] = MemberProps{Info: infos[i], Props: props[i]}
-	}
-	return out, nil
+	return s.list(ctx, cp, func(child string, fi fs.FileInfo) (MemberProps, error) {
+		return s.resolveWithProps(ctx, child, fi, want)
+	})
 }
 
 // Mkcol implements Store. The mkdir itself is atomic; it is journaled
@@ -1214,7 +1241,7 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse
 	if !ri.IsCollection || !recurse {
 		return nil
 	}
-	members, _, err := s.list(ctx, csrc, false)
+	members, err := s.listInfos(ctx, csrc)
 	if err != nil {
 		return err
 	}
@@ -1262,7 +1289,7 @@ func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst
 	if len(props) == 0 {
 		return nil
 	}
-	names := sortedPropNames(props)
+	names := SortedPropNames(props)
 	return s.withProps(ctx, cdst, true, func(h *dbm.Handle) error {
 		for _, n := range names {
 			if err := h.Put(propKey(n), props[n]); err != nil {
@@ -1348,7 +1375,7 @@ func (s *FSStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sortedPropNames(all), nil
+	return SortedPropNames(all), nil
 }
 
 // PropAll implements Store.

@@ -178,16 +178,16 @@ func (is *instrumentedStore) PropAll(ctx context.Context, p string) (map[xml.Nam
 	return props, err
 }
 
-func (is *instrumentedStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
+func (is *instrumentedStore) StatWithProps(ctx context.Context, p string, want []xml.Name) (ResourceInfo, map[xml.Name][]byte, error) {
 	ctx, done := is.begin(ctx, "stat_with_props", trace.Str("path", p))
-	ri, props, err := is.s.StatWithProps(ctx, p)
+	ri, props, err := is.s.StatWithProps(ctx, p, want)
 	done(err)
 	return ri, props, err
 }
 
-func (is *instrumentedStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
+func (is *instrumentedStore) ListWithProps(ctx context.Context, p string, want []xml.Name) ([]MemberProps, error) {
 	ctx, done := is.begin(ctx, "list_with_props", trace.Str("path", p))
-	members, err := is.s.ListWithProps(ctx, p)
+	members, err := is.s.ListWithProps(ctx, p, want)
 	done(err)
 	return members, err
 }

@@ -116,7 +116,7 @@ func (s *MemStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
 // list returns the sorted member snapshot of cp. Caller holds the path
 // lock; list takes state.mu itself. With withProps set each member's
 // property map is copied in the same pass.
-func (s *MemStore) list(cp string, withProps bool) ([]MemberProps, error) {
+func (s *MemStore) list(cp string, withProps bool, want []xml.Name) ([]MemberProps, error) {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
 	r, ok := s.state.res[cp]
@@ -140,7 +140,7 @@ func (s *MemStore) list(cp string, withProps bool) ([]MemberProps, error) {
 		}
 		mp := MemberProps{Info: s.infoFor(q, qr)}
 		if withProps {
-			mp.Props = copyProps(qr.props)
+			mp.Props = copyProps(SelectProps(qr.props, want))
 		}
 		out = append(out, mp)
 	}
@@ -167,7 +167,7 @@ func (s *MemStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 		return nil, err
 	}
 	defer g.Release()
-	members, err := s.list(cp, false)
+	members, err := s.list(cp, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (s *MemStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 }
 
 // StatWithProps implements Store.
-func (s *MemStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
+func (s *MemStore) StatWithProps(ctx context.Context, p string, want []xml.Name) (ResourceInfo, map[xml.Name][]byte, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
 		return ResourceInfo{}, nil, err
@@ -195,11 +195,11 @@ func (s *MemStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, m
 	if !ok {
 		return ResourceInfo{}, nil, fmt.Errorf("%w: %s", ErrNotFound, cp)
 	}
-	return s.infoFor(cp, r), copyProps(r.props), nil
+	return s.infoFor(cp, r), copyProps(SelectProps(r.props, want)), nil
 }
 
 // ListWithProps implements Store.
-func (s *MemStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
+func (s *MemStore) ListWithProps(ctx context.Context, p string, want []xml.Name) ([]MemberProps, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
 		return nil, err
@@ -209,7 +209,7 @@ func (s *MemStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, 
 		return nil, err
 	}
 	defer g.Release()
-	return s.list(cp, true)
+	return s.list(cp, true, want)
 }
 
 // parentOK reports whether p's parent exists and is a collection.
@@ -551,7 +551,7 @@ func (s *MemStore) PropDelete(ctx context.Context, p string, name xml.Name) erro
 func (s *MemStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
 	var names []xml.Name
 	err := s.withResource(ctx, p, false, func(r *memResource) error {
-		names = sortedPropNames(r.props)
+		names = SortedPropNames(r.props)
 		return nil
 	})
 	if err != nil {

@@ -101,13 +101,18 @@ type Store interface {
 	// PropAll returns every dead property on the resource.
 	PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error)
 
-	// StatWithProps is Stat plus PropAll in one locked pass — the
-	// batched read behind PROPFIND.
-	StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error)
-	// ListWithProps is List plus each member's PropAll in one locked
-	// pass over the collection, sorted by path, so a Depth:1 PROPFIND
-	// over N members costs one traversal instead of N+1 lookups.
-	ListWithProps(ctx context.Context, p string) ([]MemberProps, error)
+	// StatWithProps is Stat plus the resource's dead properties in one
+	// locked pass — the batched read behind PROPFIND. want selects the
+	// properties: nil means every dead property (allprop, propname);
+	// otherwise, even when empty, only the properties named in want are
+	// read, and a wanted name that is not stored is absent from the
+	// map. ResourceInfo is the same either way.
+	StatWithProps(ctx context.Context, p string, want []xml.Name) (ResourceInfo, map[xml.Name][]byte, error)
+	// ListWithProps is List plus each member's StatWithProps properties
+	// in one locked pass over the collection, sorted by path, so a
+	// Depth:1 PROPFIND over N members costs one traversal instead of
+	// N+1 lookups.
+	ListWithProps(ctx context.Context, p string, want []xml.Name) ([]MemberProps, error)
 	// CopyTree copies the resource at src to dst, including dead
 	// properties, creating dst's resource type to match src. The
 	// destination must not already exist (the server resolves
@@ -247,9 +252,9 @@ type CopyOptions struct {
 	Recurse bool
 }
 
-// sortedPropNames returns props' keys ordered by namespace then local
+// SortedPropNames returns props' keys ordered by namespace then local
 // name, so property iteration is deterministic.
-func sortedPropNames(props map[xml.Name][]byte) []xml.Name {
+func SortedPropNames(props map[xml.Name][]byte) []xml.Name {
 	names := make([]xml.Name, 0, len(props))
 	for n := range props {
 		names = append(names, n)
@@ -301,20 +306,37 @@ type MemberProps struct {
 	Props map[xml.Name][]byte
 }
 
+// SelectProps applies StatWithProps's want rule to a resource's full
+// property map: props itself when want is nil, else a new map holding
+// only the wanted names that props has.
+func SelectProps(props map[xml.Name][]byte, want []xml.Name) map[xml.Name][]byte {
+	if want == nil {
+		return props
+	}
+	out := make(map[xml.Name][]byte, len(want))
+	for _, name := range want {
+		if v, ok := props[name]; ok {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // WalkWithProps visits p and, if it is a collection, every descendant,
-// pre-order, handing each visit the resource's dead properties as well.
-// Collections are resolved through the batched list path, so a deep
-// walk costs one pass per collection rather than one per resource. The
-// walk checkpoints ctx between collections.
-func WalkWithProps(ctx context.Context, s Store, p string, fn func(MemberProps) error) error {
-	ri, props, err := s.StatWithProps(ctx, p)
+// pre-order, handing each visit the resource's dead properties as
+// selected by want (see StatWithProps). Collections are resolved
+// through the batched list path, so a deep walk costs one pass per
+// collection rather than one per resource. The walk checkpoints ctx
+// between collections.
+func WalkWithProps(ctx context.Context, s Store, p string, want []xml.Name, fn func(MemberProps) error) error {
+	ri, props, err := s.StatWithProps(ctx, p, want)
 	if err != nil {
 		return err
 	}
-	return walkWithProps(ctx, s, MemberProps{Info: ri, Props: props}, fn)
+	return walkWithProps(ctx, s, MemberProps{Info: ri, Props: props}, want, fn)
 }
 
-func walkWithProps(ctx context.Context, s Store, mp MemberProps, fn func(MemberProps) error) error {
+func walkWithProps(ctx context.Context, s Store, mp MemberProps, want []xml.Name, fn func(MemberProps) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -324,12 +346,12 @@ func walkWithProps(ctx context.Context, s Store, mp MemberProps, fn func(MemberP
 	if !mp.Info.IsCollection {
 		return nil
 	}
-	members, err := s.ListWithProps(ctx, mp.Info.Path)
+	members, err := s.ListWithProps(ctx, mp.Info.Path, want)
 	if err != nil {
 		return err
 	}
 	for _, m := range members {
-		if err := walkWithProps(ctx, s, m, fn); err != nil {
+		if err := walkWithProps(ctx, s, m, want, fn); err != nil {
 			return err
 		}
 	}
